@@ -16,6 +16,7 @@ from . import (  # noqa: F401  (imports register the cases)
     fig15_scalability,
     fig16_ablation_ladder,
     fig17_data_reuse_dse,
+    perf_draw,
     perf_fused,
     perf_hotpath,
     perf_multilevel,

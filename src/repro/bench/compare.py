@@ -15,11 +15,12 @@ gated):
 
 Measured wall-clock metrics (``"deterministic": false`` with a time unit,
 see :data:`WALL_TIME_UNITS`) are gated like any other tracked metric **when
-the two documents come from the same timing environment** (same
-platform/machine/interpreter). When the environments differ — e.g. a
-baseline produced on a developer machine compared on a CI runner — a raw
-wall-time regression beyond threshold is downgraded to ``warn`` with a
-note, because absolute wall times are not comparable across machines;
+the two documents come from the same timing environment** (same kernel
+family, machine, CPU model and count, and interpreter). When the
+environments differ — e.g. a baseline produced on a developer machine
+compared on a CI runner — a raw wall-time regression beyond threshold is
+downgraded to ``warn`` with a note, because absolute wall times are not
+comparable across machines;
 regenerate the baseline on the comparing machine to re-arm that gate.
 Dimensionless measured metrics (e.g. the hogwild/accumulate cost *ratio*,
 unit ``x``) are machine-independent and therefore hard-gate everywhere —
@@ -85,9 +86,6 @@ class ComparisonReport:
     @property
     def exit_code(self) -> int:
         return 1 if self.failed else 0
-
-    def by_status(self, status: str) -> List[MetricDelta]:
-        return [d for d in self.deltas if d.status == status]
 
     def summary_line(self) -> str:
         counts: Dict[str, int] = {}
@@ -168,7 +166,8 @@ def compare_documents(
 
     # Wall-clock metrics are only hard-gated between runs of the same timing
     # environment; across machines the threshold degrades to a warning.
-    timing_keys = ("platform", "machine", "executable", "python")
+    timing_keys = ("platform", "machine", "cpu_model", "cpu_count",
+                   "executable", "python")
     same_timing_env = all(
         old_doc["environment"].get(key) == new_doc["environment"].get(key)
         for key in timing_keys

@@ -23,7 +23,7 @@ from .registry import (
     load_builtin_cases,
     metrics_as_plain,
 )
-from .schema import SCHEMA_VERSION, default_output_path, metric_values, write_results
+from .schema import SCHEMA_VERSION, default_output_path, write_results
 
 __all__ = ["run_suite", "run_case", "SuiteRunError"]
 
@@ -228,11 +228,6 @@ def run_suite(
         write_results(doc, out_path)
         echo(f"wrote {out_path}")
     return doc
-
-
-def deterministic_payload(doc: Dict) -> Dict[str, Dict[str, float]]:
-    """The portion of a result document required to be run-invariant."""
-    return metric_values(doc)
 
 
 def _main(argv: Optional[List[str]] = None) -> int:  # pragma: no cover

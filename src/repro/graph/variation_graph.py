@@ -130,10 +130,6 @@ class VariationGraph:
         self._adjacency[node_id] = set()
         return node
 
-    def get_node(self, node_id: int) -> Node:
-        """Return the node with ``node_id`` (KeyError if absent)."""
-        return self._nodes[node_id]
-
     def node_length(self, node_id: int) -> int:
         """Sequence length of a node."""
         return self._nodes[node_id].length
@@ -198,10 +194,6 @@ class VariationGraph:
         return len(self._adjacency[node_id])
 
     # ------------------------------------------------------------------ paths
-    def has_path(self, name: str) -> bool:
-        """Whether a path with this name exists."""
-        return name in self._paths
-
     def add_path(self, name: str, steps: Optional[Iterable[Tuple[int, bool]]] = None) -> Path:
         """Create a path; ``steps`` is an iterable of (node_id, is_reverse)."""
         if name in self._paths:
@@ -239,13 +231,6 @@ class VariationGraph:
     def total_path_steps(self) -> int:
         """Sum over paths of the number of steps (the paper's Σ|p|)."""
         return sum(len(p) for p in self._paths.values())
-
-    def total_path_nucleotides(self) -> int:
-        """Total nucleotide length of all paths (counts shared nodes repeatedly)."""
-        return sum(
-            sum(self._nodes[s.node_id].length for s in p.steps)
-            for p in self._paths.values()
-        )
 
     def path_length_nucleotides(self, name: str) -> int:
         """Nucleotide length of one path."""

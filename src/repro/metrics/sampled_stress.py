@@ -39,10 +39,6 @@ class SampledStress:
         """Width of the 95% confidence interval."""
         return self.ci_high - self.ci_low
 
-    def as_tuple(self) -> tuple:
-        """(value, ci_low, ci_high) convenience tuple."""
-        return (self.value, self.ci_low, self.ci_high)
-
 
 def sampled_path_stress(
     layout: Layout,

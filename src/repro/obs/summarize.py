@@ -7,10 +7,18 @@ every perf regression investigation starts with. ``compare`` diffs two
 traces phase by phase, the reading-a-trace counterpart of
 ``repro bench compare``.
 
-Attribution uses the *leaf* phases, not the enclosing ``iteration``/
-``level`` spans: nested spans overlap by construction, so summing every
-span would double-count. The enclosing spans are reported as their own
-rows but excluded from the share denominator.
+Attribution is over *self* time, so nested spans are never counted twice.
+Span nesting is declared, not guessed from timestamps:
+
+* ``iteration`` and ``level`` are envelopes (:data:`ENCLOSING_SPANS`): they
+  enclose the per-phase spans, are reported as their own rows, and take no
+  share.
+* ``selection`` and ``merge`` run inside ``dispatch`` on the host fused path
+  (:data:`NESTED_SPANS`): ``dispatch`` is reported at its self time, its
+  total minus its children's.
+
+Shares are every other phase's self time over their sum, so they add up to
+100% of the attributed time.
 """
 from __future__ import annotations
 
@@ -19,10 +27,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .trace_file import TraceDoc
 from .tracer import TraceEvent
 
-__all__ = ["phase_breakdown", "render_summary", "render_compare"]
+__all__ = ["phase_breakdown", "phase_self_times", "render_summary",
+           "render_compare"]
 
-#: Spans that *enclose* other spans; excluded from the share denominator.
+#: Envelope spans that enclose the phase spans; reported, never shared.
 ENCLOSING_SPANS = ("iteration", "level")
+
+#: Declared span nesting: child phase -> the phase span that encloses it.
+#: ``run_iteration_host`` emits ``selection`` and ``merge`` per chunk inside
+#: the engine's per-iteration ``dispatch`` span.
+NESTED_SPANS = {"selection": "dispatch", "merge": "dispatch"}
 
 
 def phase_breakdown(events: Sequence[TraceEvent]
@@ -34,6 +48,19 @@ def phase_breakdown(events: Sequence[TraceEvent]
         out[event.name] = (n_events + 1, units + int(event.count),
                            total + float(event.dur))
     return out
+
+
+def phase_self_times(breakdown: Dict[str, Tuple[int, int, float]]
+                     ) -> Dict[str, float]:
+    """Self seconds of every non-envelope phase: its total minus the totals
+    of the phases nested in it (:data:`NESTED_SPANS`), never below zero."""
+    children: Dict[str, float] = {}
+    for child, parent in NESTED_SPANS.items():
+        if child in breakdown:
+            children[parent] = children.get(parent, 0.0) + breakdown[child][2]
+    return {name: max(total - children.get(name, 0.0), 0.0)
+            for name, (_, _, total) in breakdown.items()
+            if name not in ENCLOSING_SPANS}
 
 
 def _format_rows(headers: List[str], rows: List[List[str]]) -> str:
@@ -53,15 +80,17 @@ def _workers_in(events: Sequence[TraceEvent]) -> List[str]:
 def render_summary(doc: TraceDoc, source: Optional[str] = None) -> str:
     """Human-readable per-phase breakdown of one trace."""
     breakdown = phase_breakdown(doc.events)
-    leaf_total = sum(total for name, (_, _, total) in breakdown.items()
-                     if name not in ENCLOSING_SPANS)
+    self_times = phase_self_times(breakdown)
+    attributed = sum(self_times.values())
     rows: List[List[str]] = []
-    ordered = sorted(breakdown.items(), key=lambda kv: -kv[1][2])
+    ordered = sorted(breakdown.items(),
+                     key=lambda kv: -self_times.get(kv[0], kv[1][2]))
     for name, (n_events, units, total) in ordered:
-        share = (f"{100.0 * total / leaf_total:.1f}%"
-                 if leaf_total > 0 and name not in ENCLOSING_SPANS else "-")
-        rows.append([name, str(n_events), str(units),
-                     f"{total * 1e3:.2f}", share])
+        own = self_times.get(name)
+        share = (f"{100.0 * own / attributed:.1f}%"
+                 if own is not None and attributed > 0 else "-")
+        rows.append([name, str(n_events), str(units), f"{total * 1e3:.2f}",
+                     "-" if own is None else f"{own * 1e3:.2f}", share])
     meta = doc.meta
     head = [f"trace{f' {source}' if source else ''}: "
             f"schema {doc.schema_version}, {len(doc.events)} event(s)"
@@ -72,31 +101,35 @@ def render_summary(doc: TraceDoc, source: Optional[str] = None) -> str:
     workers = _workers_in(doc.events)
     if workers:
         head.append(f"workers: {', '.join(workers)}")
-    table = _format_rows(["phase", "events", "units", "total ms", "share"],
-                         rows)
+    table = _format_rows(["phase", "events", "units", "total ms", "self ms",
+                          "share"], rows)
     return "\n".join(head + [table])
 
 
 def render_compare(old: TraceDoc, new: TraceDoc) -> str:
-    """Phase-by-phase diff of two traces (old -> new)."""
-    old_phases = phase_breakdown(old.events)
-    new_phases = phase_breakdown(new.events)
+    """Phase-by-phase diff of two traces (old -> new), in self time for
+    phases and total time for the envelopes."""
+    def seconds(doc: TraceDoc) -> Tuple[Dict[str, float], float]:
+        breakdown = phase_breakdown(doc.events)
+        self_times = phase_self_times(breakdown)
+        per_phase = {name: self_times.get(name, total)
+                     for name, (_, _, total) in breakdown.items()}
+        return per_phase, sum(self_times.values())
+
+    old_phases, old_total = seconds(old)
+    new_phases, new_total = seconds(new)
     names = list(old_phases)
     names.extend(n for n in new_phases if n not in old_phases)
     rows: List[List[str]] = []
-    for name in sorted(names, key=lambda n: -(new_phases.get(n, (0, 0, 0.0))[2]
-                                              or old_phases.get(n, (0, 0, 0.0))[2])):
-        old_s = old_phases.get(name, (0, 0, 0.0))[2]
-        new_s = new_phases.get(name, (0, 0, 0.0))[2]
+    for name in sorted(names, key=lambda n: -(new_phases.get(n, 0.0)
+                                              or old_phases.get(n, 0.0))):
+        old_s = old_phases.get(name, 0.0)
+        new_s = new_phases.get(name, 0.0)
         ratio = f"{new_s / old_s:.2f}x" if old_s > 0 else "-"
         rows.append([name, f"{old_s * 1e3:.2f}", f"{new_s * 1e3:.2f}", ratio])
-    old_total = sum(t for n, (_, _, t) in old_phases.items()
-                    if n not in ENCLOSING_SPANS)
-    new_total = sum(t for n, (_, _, t) in new_phases.items()
-                    if n not in ENCLOSING_SPANS)
     total_ratio = (f"{new_total / old_total:.2f}x" if old_total > 0 else "-")
     head = (f"trace compare: {len(old.events)} -> {len(new.events)} event(s), "
-            f"leaf total {old_total * 1e3:.2f} -> {new_total * 1e3:.2f} ms "
+            f"attributed {old_total * 1e3:.2f} -> {new_total * 1e3:.2f} ms "
             f"({total_ratio})")
     table = _format_rows(["phase", "old ms", "new ms", "ratio"], rows)
     return "\n".join([head, table])

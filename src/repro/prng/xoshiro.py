@@ -9,14 +9,31 @@ number is far cheaper than the memory traffic it triggers.
 This module implements Xoshiro256+ over an arbitrary number of parallel
 streams (one per simulated CPU thread or GPU thread), with outputs identical
 to the reference C implementation for any given state.
+
+**Jump-ahead.** The state transition uses only xor, shift and rotate, all
+linear over GF(2); the ``+`` touches the output, never the state. So the
+state after ``k`` steps is ``A^k·s`` for one fixed 256×256 bit matrix ``A``
+(built once by stepping the 256 unit states, see :mod:`repro.prng.gf2`).
+:meth:`Xoshiro256Plus.next_double_block` uses this to fill narrow blocks
+wide, the way the paper's GPU kernel gives every thread its own state
+(coalesced random states, Sec. V): it jumps copies of the streams
+``L, 2L, 3L, ...`` steps ahead and steps all of them together, which
+yields exactly the words the sequential loop would. The jump maps
+``A^(L·2^k)`` depend only on ``L`` and are cached per process on first use.
 """
 from __future__ import annotations
 
+import mmap
+from collections import OrderedDict
+from typing import Tuple
+
 import numpy as np
 
+from . import gf2
 from .splitmix import seed_streams
 
-__all__ = ["Xoshiro256Plus", "rotl64"]
+__all__ = ["Xoshiro256Plus", "rotl64", "lane_split", "jump_map",
+           "stepwise_double_block"]
 
 _U64 = np.uint64
 
@@ -96,51 +113,39 @@ class Xoshiro256Plus:
         Returns a ``(n_calls, n_streams)`` float64 array whose row ``c`` is
         byte-identical to the ``c``-th :meth:`next_double` call, and advances
         every stream exactly ``n_calls`` times — the bulk draw and the
-        call-at-a-time draw are interchangeable mid-stream. The state
-        transition is inherently sequential (no jump-ahead), so a Python loop
-        over calls remains, but it is a single tight loop over in-place
-        ``uint64`` ops with the overflow errstate entered once per block
-        instead of once per call — this is the megabatch fill of the fused
-        iteration path and the backing store of the sampler's bulk uniforms.
+        call-at-a-time draw are interchangeable mid-stream. This is the
+        megablock fill of the fused iteration path and the backing store of
+        the sampler's bulk uniforms.
+
+        Narrow blocks are filled wide by jump-ahead (see the module notes):
+        :func:`lane_split` cuts the calls into ``S`` lanes of ``L``; lane
+        ``j`` starts from ``A^(jL)·s``, built by doubling from the cached
+        jump maps; then all ``S · n_streams`` lane-streams step together
+        ``L`` times, each step written straight into the output viewed as
+        ``(S, L, n_streams)``. The ``n_calls - S·L < S`` calls left over
+        continue stepwise from the last lane, whose end state is the final
+        state. Wide or short blocks (``S == 1``) take the stepwise loop
+        alone. Either way the output words and the final state are those of
+        ``n_calls`` single steps.
         """
         n_calls = int(n_calls)
         if n_calls < 0:
             raise ValueError("n_calls must be >= 0")
-        out = np.empty((n_calls, self.n_streams), dtype=np.float64)
-        if n_calls == 0:
-            return out
-        # Work on contiguous per-word columns with two preallocated uint64
-        # temporaries and ``out=`` ufunc calls throughout: the loop body
-        # allocates nothing and never touches strided views, which is what
-        # makes the bulk fill markedly cheaper than repeated next_double()
-        # while computing the identical word sequence.
-        s = self.state
-        s0 = np.ascontiguousarray(s[:, 0])
-        s1 = np.ascontiguousarray(s[:, 1])
-        s2 = np.ascontiguousarray(s[:, 2])
-        s3 = np.ascontiguousarray(s[:, 3])
-        t = np.empty_like(s0)
-        r = np.empty_like(s0)
-        k11, k17, k45, k19 = _U64(11), _U64(17), _U64(45), _U64(19)
-        with np.errstate(over="ignore"):
-            for c in range(n_calls):
-                np.add(s0, s3, out=r)
-                np.right_shift(r, k11, out=r)
-                np.copyto(out[c], r)  # uint64 -> float64, same as astype
-                np.left_shift(s1, k17, out=t)
-                np.bitwise_xor(s2, s0, out=s2)
-                np.bitwise_xor(s3, s1, out=s3)
-                np.bitwise_xor(s1, s2, out=s1)
-                np.bitwise_xor(s0, s3, out=s0)
-                np.bitwise_xor(s2, t, out=s2)
-                # rotl64(s3, 45) inlined: << 45 | >> (64 - 45).
-                np.left_shift(s3, k45, out=r)
-                np.right_shift(s3, k19, out=s3)
-                np.bitwise_or(r, s3, out=s3)
-        s[:, 0] = s0
-        s[:, 1] = s1
-        s[:, 2] = s2
-        s[:, 3] = s3
+        n = self.n_streams
+        lanes, lane_calls = lane_split(n, n_calls)
+        if lanes == 1:
+            return stepwise_double_block(self, n_calls)
+        # Fetch (the first time, build) the jump maps before the fill
+        # allocates anything, so the build's transient tables are freed
+        # back into an otherwise untouched heap.
+        jumps = _lane_jumps(lane_calls, (lanes - 1).bit_length())
+        out = np.empty((n_calls, n), dtype=np.float64)
+        spread = lanes * lane_calls
+        words = _lane_starts(self.state, lanes, jumps)
+        _step_fill(words, out[:spread].reshape(lanes, lane_calls, n)
+                   .transpose(1, 0, 2))
+        self.state[:] = words[-n:]
+        _step_fill(self.state, out[spread:])
         out *= 2.0 ** -53
         return out
 
@@ -166,6 +171,151 @@ class Xoshiro256Plus:
         """Return a generator with ``n_extra`` additional decorrelated streams."""
         extra = seed_streams(seed, n_extra, self.STATE_WORDS)
         return Xoshiro256Plus(np.vstack([self.state, extra]))
+
+
+#: Lane-streams the jump-ahead fill steps at once: the fastest of 1,024 to
+#: 16,384 on the Chr.1-like megablock (64 streams; 2-core Xeon, 25.6 ms
+#: against 28-33 ms for the others).
+LANE_WIDTH_TARGET = 2048
+
+#: Shortest lane worth jumping to: below it the doubling jumps (and, the
+#: first time a lane length is seen, its jump maps) cost more than the
+#: sequential steps they save.
+MIN_LANE_CALLS = 256
+
+#: Lane lengths whose jump maps stay cached (least recently used evicted).
+_LANE_CACHE_SIZE = 4
+
+# Per-process cache of seed-free constants, filled on first use: lane length
+# ``L`` -> read-only ``(levels, 256, 4)`` array of ``A^L, A^(2L), A^(4L), ...``
+# (8 KiB per map). Each entry is a pure function of its key, so sharing it
+# between generators cannot change a result. Entries live in their own
+# anonymous mappings, outside the malloc heap, and are built before the
+# fill allocates anything: built on the heap, between the fill's own
+# arrays, they pinned freed heap above them, and each shm worker's peak
+# RSS rose by 5-7 MiB.
+_LANE_JUMPS: "OrderedDict[int, np.ndarray]" = OrderedDict()
+
+
+def lane_split(n_streams: int, n_calls: int) -> Tuple[int, int]:
+    """``(lanes, lane_calls)`` for a ``next_double_block`` fill.
+
+    ``lanes`` is how many jumped copies of the streams step side by side
+    (enough to reach :data:`LANE_WIDTH_TARGET` lane-streams, never a lane
+    shorter than :data:`MIN_LANE_CALLS`) and ``lane_calls = n_calls //
+    lanes``. ``lanes == 1`` means the plain stepwise fill.
+    """
+    lanes = min(LANE_WIDTH_TARGET // max(int(n_streams), 1),
+                int(n_calls) // MIN_LANE_CALLS)
+    if lanes < 2:
+        return 1, int(n_calls)
+    return lanes, int(n_calls) // lanes
+
+
+def stepwise_double_block(gen: Xoshiro256Plus, n_calls: int) -> np.ndarray:
+    """``gen.next_double_block(n_calls)`` without jump-ahead: one sequential
+    step per call at the generator's own width. It is the fill for a single
+    lane, and the reference the blocked fill is checked and timed against."""
+    out = np.empty((int(n_calls), gen.n_streams), dtype=np.float64)
+    _step_fill(gen.state, out)
+    out *= 2.0 ** -53
+    return out
+
+
+def jump_map(n_steps: int) -> np.ndarray:
+    """The packed map ``A^n_steps``: ``n_steps`` generator steps at once.
+
+    ``A`` comes from stepping the 256 unit states once; the power is taken
+    by square-and-multiply. ``jump_map(0)`` is the identity.
+    """
+    n_steps = int(n_steps)
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    result = gf2.unit_states()
+    power = Xoshiro256Plus(gf2.unit_states())
+    power.next_uint64()
+    power = power.state
+    for i in range(n_steps.bit_length()):
+        if i:
+            power = gf2.apply(power, power)
+        if n_steps >> i & 1:
+            result = gf2.apply(power, result)
+    return result
+
+
+def _lane_jumps(lane_calls: int, levels: int) -> np.ndarray:
+    """``[A^L, A^(2L), ..., A^(2^(levels-1)·L)]`` for ``L = lane_calls``."""
+    jumps = _LANE_JUMPS.pop(lane_calls, None)
+    if jumps is None or len(jumps) < levels:
+        while len(_LANE_JUMPS) >= _LANE_CACHE_SIZE:
+            _LANE_JUMPS.popitem(last=False)
+        jumps = np.frombuffer(mmap.mmap(-1, levels * gf2.STATE_BITS * 32),
+                              dtype=np.uint64).reshape(levels, gf2.STATE_BITS, 4)
+        jumps[0] = jump_map(lane_calls)
+        for k in range(1, levels):
+            gf2.apply(jumps[k - 1], jumps[k - 1], out=jumps[k])
+        jumps.flags.writeable = False
+    _LANE_JUMPS[lane_calls] = jumps
+    return jumps
+
+
+def _lane_starts(state: np.ndarray, lanes: int, jumps: np.ndarray) -> np.ndarray:
+    """``(lanes · n, 4)`` start states: rows ``[j·n, (j+1)·n)`` hold
+    ``A^(j·L)·state``, built by doubling (lanes ``[h, 2h)`` are ``A^(h·L)``
+    applied to lanes ``[0, h)``) from ``jumps = _lane_jumps(L, ...)``."""
+    n = state.shape[0]
+    starts = np.empty((lanes, n, 4), dtype=np.uint64)
+    starts[0] = state
+    h = 1
+    for jump in jumps:
+        if h >= lanes:
+            break
+        m = min(h, lanes - h)
+        gf2.apply(jump, starts[:m].reshape(m * n, 4),
+                  out=starts[h:h + m].reshape(m * n, 4))
+        h *= 2
+    return starts.reshape(lanes * n, 4)
+
+
+def _step_fill(state: np.ndarray, dest: np.ndarray) -> None:
+    """Step the ``(w, 4)`` ``state`` in place ``len(dest)`` times, writing
+    step ``c``'s output ``>> 11`` (as float64, unscaled) into ``dest[c]``.
+
+    ``dest[c]`` holds ``w`` values in any shape (a row of the block, or one
+    row of every lane). The loop works on contiguous per-word columns with
+    two preallocated temporaries and ``out=`` ufunc calls throughout, so its
+    body allocates nothing and never steps a strided view.
+    """
+    n_steps = dest.shape[0]
+    if n_steps == 0:
+        return
+    s0 = np.ascontiguousarray(state[:, 0])
+    s1 = np.ascontiguousarray(state[:, 1])
+    s2 = np.ascontiguousarray(state[:, 2])
+    s3 = np.ascontiguousarray(state[:, 3])
+    t = np.empty_like(s0)
+    r = np.empty_like(s0)
+    src = r.reshape(dest.shape[1:])
+    k11, k17, k45, k19 = _U64(11), _U64(17), _U64(45), _U64(19)
+    with np.errstate(over="ignore"):
+        for c in range(n_steps):
+            np.add(s0, s3, out=r)
+            np.right_shift(r, k11, out=r)
+            np.copyto(dest[c], src)  # uint64 -> float64, same as astype
+            np.left_shift(s1, k17, out=t)
+            np.bitwise_xor(s2, s0, out=s2)
+            np.bitwise_xor(s3, s1, out=s3)
+            np.bitwise_xor(s1, s2, out=s1)
+            np.bitwise_xor(s0, s3, out=s0)
+            np.bitwise_xor(s2, t, out=s2)
+            # rotl64(s3, 45) inlined: << 45 | >> (64 - 45).
+            np.left_shift(s3, k45, out=r)
+            np.right_shift(s3, k19, out=s3)
+            np.bitwise_or(r, s3, out=s3)
+    state[:, 0] = s0
+    state[:, 1] = s1
+    state[:, 2] = s2
+    state[:, 3] = s3
 
 
 def reference_scalar_next(state: np.ndarray) -> tuple[np.ndarray, int]:

@@ -295,6 +295,35 @@ class TestCompare:
         assert report.exit_code == 0
         assert any("timing environments" in note for note in report.notes)
 
+    @pytest.mark.parametrize("key,value", [("cpu_model", "Other CPU @ 2GHz"),
+                                           ("cpu_count", 96)])
+    def test_wall_metric_downgraded_across_cpus(self, key, value):
+        old, new = self._wall_pair(2.0, 2.5)
+        new["environment"][key] = value
+        report = compare_documents(old, new, max_regress=0.10)
+        assert [d.status for d in report.deltas] == ["warn"]
+
+    def test_kernel_patch_release_keeps_wall_gate_armed(self):
+        # Two kernel patch builds of one family share a timing environment:
+        # the fingerprint records the family, so the gate still arms.
+        from unittest import mock
+
+        from repro.bench import env
+
+        families = set()
+        for release in ("6.18.5-fc-v20", "6.18.44-fc-v139"):
+            with mock.patch.object(env.platform, "release",
+                                   return_value=release), \
+                    mock.patch.object(env.platform, "system",
+                                      return_value="Linux"):
+                families.add(env.kernel_family())
+        assert families == {"Linux-6.18"}
+        old, new = self._wall_pair(2.0, 2.5)
+        for doc in (old, new):
+            doc["environment"]["platform"] = "Linux-6.18"
+        report = compare_documents(old, new, max_regress=0.10)
+        assert [d.status for d in report.deltas] == ["fail"]
+
     def test_deterministic_metric_still_fails_across_environments(self):
         old, new = self.pair(2.0, 2.5, "lower")
         new["environment"]["platform"] = "Linux-other-host"
@@ -332,5 +361,6 @@ class TestEnvironmentFingerprint:
         from repro.bench.env import environment_fingerprint
 
         fp = environment_fingerprint()
-        assert set(fp) >= {"python", "numpy", "platform", "repro", "git"}
+        assert set(fp) >= {"python", "numpy", "platform", "repro", "git",
+                           "cpu_model", "cpu_count"}
         assert json.dumps(fp)  # JSON-serialisable

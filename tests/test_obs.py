@@ -22,9 +22,10 @@ from repro.obs import clock
 from repro.obs.metrics import MetricsError, MetricsRegistry
 from repro.obs.ring import (PHASE_NAMES, RING_FIELDS, RingTracer, TraceRing,
                             ring_capacity, ring_payload)
-from repro.obs.summarize import render_compare, render_summary
+from repro.obs.summarize import (phase_breakdown, phase_self_times,
+                                  render_compare, render_summary)
 from repro.obs.trace_file import (TRACE_SCHEMA_MAJOR, TRACE_SCHEMA_VERSION,
-                                  TraceSchemaError, merge_events,
+                                  TraceDoc, TraceSchemaError, merge_events,
                                   parse_schema_version, read_trace,
                                   write_trace)
 from repro.obs.tracer import NULL_TRACER, TraceEvent, Tracer, event_structure
@@ -495,6 +496,60 @@ class TestProgressCallbacks:
         assert all(t == grand_total for _, t, _ in calls)
         assert {s["level"] for _, _, s in calls} \
             == set(range(driver.hierarchy.depth))
+
+
+class TestPhaseAttribution:
+    @staticmethod
+    def _host_fused_iteration():
+        """One hand-built host fused iteration: draw 4 s, then a 6 s
+        dispatch enclosing selection 1 s and merge 4 s."""
+        tracer = Tracer()
+        tracer.emit("draw", 0.0, 4.0, 0)
+        tracer.emit("selection", 4.0, 1.0, 0)
+        tracer.emit("merge", 5.0, 4.0, 0)
+        tracer.emit("dispatch", 4.0, 6.0, 0)
+        tracer.emit("iteration", 0.0, 10.0, 0)
+        return tracer.events
+
+    def test_nested_phases_are_counted_once(self):
+        events = self._host_fused_iteration()
+        self_times = phase_self_times(phase_breakdown(events))
+        assert self_times == {"draw": 4.0, "selection": 1.0, "merge": 4.0,
+                              "dispatch": 1.0}
+        doc = TraceDoc(events=events)
+        lines = render_summary(doc).splitlines()
+        rule = next(i for i, line in enumerate(lines) if line.startswith("-"))
+        shares = {line.split()[0]: line.split()[-1] for line in lines[rule + 1:]}
+        assert shares == {"draw": "40.0%", "merge": "40.0%",
+                          "selection": "10.0%", "dispatch": "10.0%",
+                          "iteration": "-"}
+        assert "attributed 10000.00 -> 10000.00 ms" in render_compare(doc, doc)
+
+    def test_stubbed_clock_run_shares_sum_to_one(self, small_synthetic,
+                                                 fast_params):
+        engine = CpuBaselineEngine(small_synthetic, fast_params)
+        engine.tracer = Tracer()
+        with clock.stub_clock(_ramp()):
+            engine.run()
+        events = engine.tracer.events
+        breakdown = phase_breakdown(events)
+        # The host fused path nests selection and merge inside dispatch.
+        assert {"draw", "dispatch", "selection", "merge"} <= set(breakdown)
+        self_times = phase_self_times(breakdown)
+        assert 0.0 < self_times["dispatch"] < breakdown["dispatch"][2]
+        assert self_times["dispatch"] == pytest.approx(
+            breakdown["dispatch"][2] - breakdown["selection"][2]
+            - breakdown["merge"][2])
+        # Counted once: the attributed time is exactly the time inside the
+        # top-level phases, and the envelopes take no share.
+        assert "iteration" not in self_times
+        top_level = sum(breakdown[name][2] for name in breakdown
+                        if name not in ("iteration", "selection", "merge"))
+        assert sum(self_times.values()) == pytest.approx(top_level)
+        text = render_summary(TraceDoc(events=events))
+        printed = [float(cell[:-1]) for line in text.splitlines()
+                   for cell in line.split() if cell.endswith("%")]
+        assert sum(printed) == pytest.approx(100.0, abs=0.05 * len(printed))
 
 
 class TestTraceCli:

@@ -15,7 +15,13 @@ from repro.prng import (
     splitmix64_next,
     state_addresses,
 )
-from repro.prng.xoshiro import reference_scalar_next
+from repro.prng import gf2, xoshiro
+from repro.prng.xoshiro import (
+    MIN_LANE_CALLS,
+    jump_map,
+    lane_split,
+    reference_scalar_next,
+)
 
 
 class TestSplitMix64:
@@ -170,6 +176,107 @@ class TestXoshiro256Plus:
         flips = gen.next_bool()
         frac = flips.mean()
         assert 0.4 < frac < 0.6
+
+
+def _stacked_doubles(seed, n_streams, n_calls):
+    """The call-at-a-time reference: ``n_calls`` stacked next_double() rows."""
+    gen = Xoshiro256Plus(seed, n_streams=n_streams)
+    rows = [gen.next_double() for _ in range(n_calls)]
+    block = (np.vstack(rows) if rows
+             else np.empty((0, n_streams), dtype=np.float64))
+    return block, gen.state
+
+
+#: Call counts around the lane split: no split just below 2·MIN_LANE_CALLS,
+#: two exact lanes at it, a one-call tail just above, primes in between.
+_LANE_CALLS = (0, 1, 2 * MIN_LANE_CALLS - 1, 2 * MIN_LANE_CALLS,
+               2 * MIN_LANE_CALLS + 1, 1021, 2053)
+
+
+class TestJumpAheadFill:
+    @pytest.mark.parametrize("n_streams", (1, 3, 64, 4096))
+    @pytest.mark.parametrize("n_calls", _LANE_CALLS)
+    def test_fill_equals_stacked_calls(self, n_streams, n_calls):
+        expected, end_state = _stacked_doubles(17, n_streams, n_calls)
+        gen = Xoshiro256Plus(17, n_streams=n_streams)
+        block = gen.next_double_block(n_calls)
+        assert block.shape == (n_calls, n_streams)
+        assert block.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(gen.state, end_state)
+
+    @pytest.mark.parametrize("n_streams", (1, 64))
+    @pytest.mark.parametrize("a,b", [(1, 600), (2 * MIN_LANE_CALLS - 1, 513),
+                                     (700, 1), (1021, 2053)])
+    def test_mid_stream_split_equals_one_block(self, n_streams, a, b):
+        split = Xoshiro256Plus(23, n_streams=n_streams)
+        parts = np.vstack([split.next_double_block(a),
+                           split.next_double_block(b)])
+        whole = Xoshiro256Plus(23, n_streams=n_streams)
+        assert parts.tobytes() == whole.next_double_block(a + b).tobytes()
+        np.testing.assert_array_equal(split.state, whole.state)
+        expected, end_state = _stacked_doubles(23, n_streams, a + b)
+        assert parts.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(split.state, end_state)
+
+    def test_chr1_sized_megablock_is_byte_identical(self):
+        # One Chr.1-like default-params iteration: 64 streams x 31,432 calls.
+        assert lane_split(64, 31_432) == (32, 982)
+        expected, end_state = _stacked_doubles(5, 64, 31_432)
+        gen = Xoshiro256Plus(5, n_streams=64)
+        assert gen.next_double_block(31_432).tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(gen.state, end_state)
+
+    def test_lane_split_keeps_wide_and_short_blocks_stepwise(self):
+        assert lane_split(4096, 344) == (1, 344)  # already wide
+        assert lane_split(2048, 10_000) == (1, 10_000)
+        assert lane_split(64, 2 * MIN_LANE_CALLS - 1) == (1, 511)  # too short
+        assert lane_split(64, 7) == (1, 7)
+        lanes, lane_calls = lane_split(1, 5_000)
+        assert lanes >= 2 and lane_calls >= MIN_LANE_CALLS
+        assert lanes * lane_calls <= 5_000 < lanes * (lane_calls + 1)
+
+    def test_transition_map_matches_scalar_reference(self):
+        states = Xoshiro256Plus(41, n_streams=33).state
+        stepped = gf2.apply(jump_map(1), states)
+        for row, state in zip(stepped, states):
+            np.testing.assert_array_equal(row, reference_scalar_next(state)[0])
+
+    def test_jump_map_equals_repeated_steps(self):
+        gen = Xoshiro256Plus(8, n_streams=5)
+        start = gen.state.copy()
+        for _ in range(300):
+            gen.next_uint64()
+        np.testing.assert_array_equal(gf2.apply(jump_map(300), start),
+                                      gen.state)
+
+    @pytest.mark.parametrize("a,b", [(0, 7), (3, 5), (982, 982),
+                                     (1000, 24), (12_345, 678)])
+    def test_jump_maps_compose(self, a, b):
+        np.testing.assert_array_equal(gf2.apply(jump_map(a), jump_map(b)),
+                                      jump_map(a + b))
+
+    def test_jump_map_zero_is_identity(self):
+        np.testing.assert_array_equal(jump_map(0), gf2.unit_states())
+        with pytest.raises(ValueError):
+            jump_map(-1)
+
+    def test_transient_memory_bounded(self):
+        import tracemalloc
+
+        # Cold caches: the bound covers building the jump maps too.
+        xoshiro._LANE_JUMPS.clear()
+        gen = Xoshiro256Plus(3, n_streams=64)
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # cold, then warm
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                block = gen.next_double_block(31_432)
+                peak = tracemalloc.get_traced_memory()[1]
+                assert peak - base - block.nbytes <= 1 << 20
+                del block
+        finally:
+            tracemalloc.stop()
 
 
 class TestXorwow:
